@@ -12,6 +12,7 @@ exit 0 on success, 1 on domain errors (reported to stderr as
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -24,9 +25,11 @@ from .trial_io import SummaryRow
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return trial_io._decode(data)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -145,8 +148,23 @@ def _cmd_check(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads ``-6.5e-05`` as a number, not an option.
+
+    Stock argparse (3.11) only takes ``-<digits>`` and ``-<digits>.<digits>``
+    for negative numbers, so a negative value in exponent form ends the
+    value list of a float option.  Here a dash followed by a digit, or by a
+    dot and a digit, is a number; no option of this parser starts that way.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewdose",
         description="Skew-normal dose-effect modeling: summarize trials, "
                     "fit mean/dispersion/skewness curves, simulate and "

@@ -252,12 +252,20 @@ def optimal_dose(model: DoseEffectModel, interval: tuple[float, float],
     min-max normalized over the grid (so the answer is invariant under
     positive affine rescaling of any single curve).  Ties go to the
     smallest dose.
+
+    Weights must be finite and thresholds must not be NaN (an infinite
+    threshold leaves its moment unconstrained); otherwise
+    :class:`~skewdose.errors.DomainError` is raised.
     """
     lo, hi = interval
     if not lo < hi:
         raise DomainError(f"need lo < hi, got ({lo!r}, {hi!r})")
     if (weights is None) == (thresholds is None):
         raise ValueError("give exactly one of weights / thresholds")
+    if weights is not None and not all(map(math.isfinite, weights)):
+        raise DomainError(f"weights must be finite, got {weights!r}")
+    if thresholds is not None and any(map(math.isnan, thresholds)):
+        raise DomainError(f"thresholds must not be NaN, got {thresholds!r}")
 
     step = (hi - lo) / (grid_points - 1)
     grid = [lo + i * step for i in range(grid_points)]

@@ -15,10 +15,19 @@ With ``delta = alpha / sqrt(1 + alpha^2)`` the first three moments are
 
 and the map inverts in closed form, which is how both the plug-in sample
 estimators and the per-dose simulation parameters are produced.
+
+The distribution function is closed-form too (Azzalini's identity):
+
+    F(x) = Phi(z) - 2 T(z, alpha),    z = (x - xi) / omega
+
+where Phi is the standard normal cdf and T is Owen's T function
+(Owen 1956; Patefield & Tandy 2000, J. Stat. Softw. 5(5)), evaluated by
+a fixed Gauss-Legendre rule once its shape is reduced to |a| <= 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,9 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSample, DomainError, InfeasibleSkewness
-from .quadrature import integrate
-from .special import erfc
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -40,9 +48,8 @@ GAMMA_MAX = ((4.0 - math.pi) / 2.0) * _SQRT_2_OVER_PI ** 3 \
 #: Strictly inside the feasible bound, so the clamped value always inverts.
 CLAMP_LIMIT = 0.995
 
-# integration window half-width, in units of omega; the mass outside
-# xi +- 13.5 omega is ~1e-41, far below the 1e-10 cdf tolerance
-_CDF_SPAN = 13.5
+# nodes of the Owen's T rule; 20 give T to ~1e-16 absolute for 0 <= a <= 1
+_OWENS_T_NODES = 20
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -102,22 +109,70 @@ def pdf(params: SkewNormalParams, x: float) -> float:
     suppression yields a tiny positive number instead of rounding to zero.
     """
     z = (x - params.xi) / params.omega
-    bracket = erfc(-params.alpha * z / math.sqrt(2.0))
+    bracket = math.erfc(-params.alpha * z / _SQRT_2)
     return math.exp(-0.5 * z * z) / (params.omega * _SQRT_2PI) * bracket
 
 
-def cdf(params: SkewNormalParams, x: float, tol: float = 1e-10) -> float:
-    """Distribution function by adaptive quadrature of the density.
+def _normal_sf(h: float) -> float:
+    """Standard normal upper tail 1 - Phi(h), accurate for large h."""
+    return 0.5 * math.erfc(h / _SQRT_2)
 
-    Accurate to the quadrature tolerance; clamped into [0, 1].
+
+@functools.cache
+def _unit_rule() -> tuple[tuple[float, float], ...]:
+    """Gauss-Legendre (node, weight) pairs mapped onto [0, 1].
+
+    Built on first use: importing numpy.polynomial costs milliseconds that
+    every command-line start-up would otherwise pay.
     """
-    lo = params.xi - _CDF_SPAN * params.omega
-    hi = params.xi + _CDF_SPAN * params.omega
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    mass = integrate(lambda u: pdf(params, u), lo, x, tol=tol)
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_OWENS_T_NODES)
+    return tuple(zip((0.5 * (nodes + 1.0)).tolist(), (0.5 * weights).tolist()))
+
+
+def _owens_t_unit(h: float, a: float) -> float:
+    """T(h, a) for 0 <= a <= 1: the defining integral over [0, a]."""
+    total = 0.0
+    for u, w in _unit_rule():
+        s = 1.0 + (a * u) ** 2
+        total += w * math.exp(-0.5 * h * h * s) / s
+    return a * total / (2.0 * math.pi)
+
+
+def owens_t(h: float, a: float) -> float:
+    """Owen's T function.
+
+        T(h, a) = (1/2pi) int_0^a exp(-h^2 (1 + x^2)/2) / (1 + x^2) dx
+
+    T is even in h and odd in a.  For a > 1 and h >= 0 the integral is
+    reduced to one with shape 1/a < 1,
+
+        T(h, a) = Q(h)/2 + Q(ah)/2 - Q(h) Q(ah) - T(ah, 1/a),
+
+    with Q = 1 - Phi (the usual form written with Phi, rearranged so that
+    nothing cancels when both tails are small).
+    """
+    sign = math.copysign(1.0, a)
+    h, a = abs(h), abs(a)
+    if a <= 1.0:
+        return sign * _owens_t_unit(h, a)
+    q_h, q_ah = _normal_sf(h), _normal_sf(a * h)
+    return sign * (0.5 * (q_h + q_ah) - q_h * q_ah
+                   - _owens_t_unit(a * h, 1.0 / a))
+
+
+def cdf(params: SkewNormalParams, x: float) -> float:
+    """Distribution function, in closed form: Phi(z) - 2 T(z, alpha).
+
+    Agrees with an independent implementation to ~1e-14 absolute; clamped
+    into [0, 1].  ``x = -inf`` gives 0 and ``x = inf`` gives 1; NaN raises
+    :class:`~skewdose.errors.DomainError`.
+    """
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
+    z = (x - params.xi) / params.omega
+    mass = _normal_sf(-z) - 2.0 * owens_t(z, params.alpha)
     return min(1.0, max(0.0, mass))
 
 

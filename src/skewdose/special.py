@@ -1,76 +1,19 @@
-"""Scalar error function, computed in-package.
+"""Scalar error function.
 
 The density of the asymmetric normal family is defined through erf, so its
 accuracy is part of this package's contract: relative error <= 1e-13 over
-the real line (verified against the C library implementation in the test
-suite).  Two standard regimes:
-
-* ``|x| < 2``   -- the nonalternating power series
-  erf(x) = (2x/sqrt(pi)) * exp(-x^2) * sum_n (2x^2)^n / (2n+1)!!,
-  whose terms are all positive (no cancellation).
-* ``|x| >= 2``  -- the Stieltjes continued fraction for erfc,
-  erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
-  evaluated with the modified Lentz algorithm.
+the real line (checked in the test suite).  Both functions delegate to the
+C library through :mod:`math`, which meets it.
 """
 
 from __future__ import annotations
 
 import math
 
-_SQRT_PI = math.sqrt(math.pi)
-_SERIES_CUTOFF = 2.0
-# erfc(6) ~ 2.2e-17 is below half an ulp of 1.0
-_SATURATION = 6.0
-_TINY = 1e-300
-
-
-def _erf_series(x: float) -> float:
-    """Power series branch, 0 <= x < _SERIES_CUTOFF."""
-    two_x2 = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    n = 0
-    while True:
-        term *= two_x2 / (2 * n + 3)
-        total += term
-        n += 1
-        if term <= total * 1e-17 or n > 200:
-            break
-    return (2.0 * x / _SQRT_PI) * math.exp(-x * x) * total
-
-
-def _erfc_cf(x: float) -> float:
-    """Continued-fraction branch for erfc, x >= _SERIES_CUTOFF."""
-    f = x
-    c = x
-    d = 0.0
-    for n in range(1, 300):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = _TINY
-        c = x + a / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / (_SQRT_PI * f)
-
 
 def erf(x: float) -> float:
     """Error function erf(x) = (2/sqrt(pi)) * integral_0^x exp(-t^2) dt."""
-    if math.isnan(x):
-        return x
-    sign = -1.0 if x < 0.0 else 1.0
-    a = abs(x)
-    if a >= _SATURATION:
-        return sign
-    if a < _SERIES_CUTOFF:
-        return sign * _erf_series(a)
-    return sign * (1.0 - _erfc_cf(a))
+    return math.erf(x)
 
 
 def erfc(x: float) -> float:
@@ -79,12 +22,4 @@ def erfc(x: float) -> float:
     Unlike ``1.0 - erf(x)``, this keeps full relative accuracy for large
     positive x (down to the underflow threshold near x = 27).
     """
-    if math.isnan(x):
-        return x
-    if x >= _SERIES_CUTOFF:
-        if x > 27.0:
-            return 0.0
-        return _erfc_cf(x)
-    if x <= -_SERIES_CUTOFF:
-        return 2.0 - _erfc_cf(-x)
-    return 1.0 - erf(x)
+    return math.erfc(x)

@@ -63,7 +63,9 @@ def _decode(data: "str | bytes") -> str:
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(1, f"input is not UTF-8: {exc}") from exc
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line, f"input is not UTF-8 (byte {exc.start})") \
+                from None
     return data
 
 
@@ -178,7 +180,7 @@ def emit_summary(rows: Sequence[SummaryRow]) -> str:
 def _curve_grid(interval: tuple[float, float], steps: int) -> list[float]:
     lo, hi = interval
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise DomainError(f"steps must be >= 1, got {steps}")
     if steps == 1:
         return [0.5 * (lo + hi)]
     step = (hi - lo) / (steps - 1)
@@ -205,6 +207,8 @@ _TICKS = 5
 def emit_curve_svg(curve: Callable[[float], float],
                    interval: tuple[float, float], steps: int) -> str:
     """Static SVG polyline of the curve: 800x500, linear axes, ticks."""
+    if interval[0] == interval[1]:
+        raise DomainError(f"an SVG plot needs lo != hi, got {interval!r}")
     xs = _curve_grid(interval, max(steps, 2))
     ys = [curve(x) for x in xs]
     x_lo, x_hi = xs[0], xs[-1]

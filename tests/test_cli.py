@@ -30,6 +30,13 @@ def model_file(tmp_path, summary_file):
     return path
 
 
+def assert_one_error_line(err, code):
+    """stderr is exactly one ``ERROR <code>:`` line, with no traceback."""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"ERROR {code}: ")
+
+
 def raw_bump_csv():
     """Raw observations with S-shaped means and a dispersion bump."""
     lines = ["dose,value"]
@@ -172,6 +179,20 @@ class TestOptimal:
                      "--thresholds", "1", "1", "1"]) == 2
         capsys.readouterr()
 
+    def test_negative_threshold_in_exponent_form(self, model_file, capsys):
+        base = ["optimal", "--input", str(model_file), "--interval", "0", "3"]
+        assert main(base + ["--thresholds", "40", "50", "-0.000065"]) == 0
+        fixed_point = capsys.readouterr().out
+        assert main(base + ["--thresholds", "40", "50", "-6.5e-05"]) == 0
+        assert capsys.readouterr().out == fixed_point
+
+    def test_nan_weight_is_a_domain_error(self, model_file, capsys):
+        assert main(["optimal", "--input", str(model_file), "--interval",
+                     "0", "3", "--weights", "nan", "0", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "DomainError")
+
 
 class TestPlotAndCheck:
     def test_plot_csv(self, model_file, capsys):
@@ -187,6 +208,17 @@ class TestPlotAndCheck:
         out = capsys.readouterr().out
         assert out.startswith('<?xml')
         assert "polyline" in out
+
+    def test_plot_zero_steps_is_a_domain_error(self, model_file, capsys):
+        assert main(["plot", "--input", str(model_file), "--curve", "mu",
+                     "--interval", "0", "4", "--steps", "0"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "DomainError")
+
+    def test_svg_of_empty_interval_is_a_domain_error(self, model_file,
+                                                     capsys):
+        assert main(["plot", "--input", str(model_file), "--curve", "mu",
+                     "--interval", "3", "3", "--format", "svg"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "DomainError")
 
     def test_check_passes_on_trial_model(self, model_file, capsys):
         assert main(["check", "--input", str(model_file),
@@ -215,6 +247,15 @@ class TestUsageErrors:
     def test_missing_input_file(self, capsys):
         assert main(["summarize", "--input", "/nonexistent/path.csv"]) == 1
         assert "ERROR IOError" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"dose,mean,sd,skew\n0,33.4,27.0,-0.03\n"
+                         b"0.75,44.2,30.8,\xb10.14\n")
+        assert main(["fit", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "ParseError")
+        assert "line 3: input is not UTF-8" in err
 
 
 class TestModelDocument:

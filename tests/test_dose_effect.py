@@ -250,6 +250,19 @@ class TestOptimalDose:
             optimal_dose(fitted_model, (0.0, 3.0), weights=(1, 0, 0),
                          thresholds=(1, 1, 1))
 
+    def test_non_finite_weights_and_nan_thresholds_rejected(self,
+                                                            fitted_model):
+        for weights in ((math.nan, 0, 0), (1, math.inf, 0)):
+            with pytest.raises(DomainError):
+                optimal_dose(fitted_model, (0.0, 3.0), weights=weights)
+        with pytest.raises(DomainError):
+            optimal_dose(fitted_model, (0.0, 3.0),
+                         thresholds=(40.0, math.nan, 0.0))
+        # an infinite threshold only lifts its constraint
+        free = optimal_dose(fitted_model, (0.0, 3.0),
+                            thresholds=(40.0, math.inf, -math.inf))
+        assert free.mode == "admissible"
+
 
 class TestModelValidation:
     def test_gaussian_dispersion_requires_zero_offset(self, fitted_model):

@@ -5,6 +5,8 @@ quadrature for the integral-equation defect, and closed-form algebra for
 the inflection identities.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,7 @@ class TestOdeResidual:
         for params in random_params(rng, 20):
             for x in rng.uniform(-10.0, 10.0, size=3):
                 assert ode_residual(params, float(x)) <= 1e-6
+
+    def test_nan_dose_raises(self):
+        with pytest.raises(DomainError):
+            ode_residual(UNIT, math.nan)

@@ -2,6 +2,9 @@
 
 import math
 
+import pytest
+
+from skewdose.errors import DomainError
 from skewdose.quadrature import integrate
 
 
@@ -34,3 +37,19 @@ def test_oscillatory_integrand():
     exact = (3.0 + math.exp(-5.0) * (-math.sin(15.0) - 3.0 * math.cos(15.0))) / 10.0
     got = integrate(f, 0.0, 5.0, tol=1e-11)
     assert abs(got - exact) < 1e-10
+
+
+def test_nonfinite_limits_raise():
+    for a, b in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                 (-math.inf, 0.0)):
+        with pytest.raises(DomainError):
+            integrate(math.exp, a, b)
+
+
+def test_nonfinite_integrand_raises():
+    # a NaN panel estimate never meets the tolerance; refining it would
+    # recurse toward 2^48 panels instead of failing
+    with pytest.raises(DomainError):
+        integrate(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        integrate(lambda x: 1.0 / x if x > 0.0 else math.inf, 0.0, 1.0)

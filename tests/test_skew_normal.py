@@ -1,8 +1,9 @@
 """Skew-normal distribution: density, cdf, moment maps, estimators, sampler.
 
 Independent oracles: scipy.stats.skewnorm for the density/cdf (same
-mathematical family, unrelated code path), scipy.integrate.quad for
-normalization, and hand arithmetic for the small-sample estimators.
+mathematical family, unrelated code path), scipy.special.owens_t for
+Owen's T, scipy.integrate.quad for normalization, and hand arithmetic for
+the small-sample estimators.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from skewdose.errors import DegenerateSample, DomainError, InfeasibleSkewness
@@ -23,6 +25,7 @@ from skewdose.skew_normal import (
     estimate_moments,
     estimate_params,
     moments_of_params,
+    owens_t,
     params_of_moments,
     pdf,
     sample,
@@ -146,6 +149,53 @@ class TestCdf:
             ref = scipy_stats.skewnorm.cdf(
                 x, a=params.alpha, loc=params.xi, scale=params.omega)
             assert abs(cdf(params, x) - ref) < 1e-8
+
+    # shapes include both sides of the a = 1 switch of Owen's T
+    NEAR_UNIT_SHAPES = [-1.001, -1.0, -0.999, 0.999, 1.0, 1.001]
+
+    def test_owens_t_matches_scipy_on_wide_grid(self):
+        alphas = np.concatenate([np.linspace(-50.0, 50.0, 201),
+                                 self.NEAR_UNIT_SHAPES])
+        zs = np.linspace(-40.0, 40.0, 321)
+        for alpha in alphas.tolist():
+            ref = scipy_special.owens_t(zs, alpha)
+            got = np.array([owens_t(z, alpha) for z in zs.tolist()])
+            assert np.max(np.abs(got - ref)) <= 1e-12, alpha
+
+    def test_matches_scipy_on_wide_grid(self):
+        # a coarser grid over the same box: scipy's skewnorm.cdf is slow
+        alphas = np.concatenate([np.linspace(-50.0, 50.0, 41),
+                                 self.NEAR_UNIT_SHAPES])
+        zs = np.linspace(-40.0, 40.0, 81)
+        for alpha in alphas.tolist():
+            params = SkewNormalParams(0.0, 1.0, alpha)
+            ref = scipy_stats.skewnorm.cdf(zs, alpha)
+            got = np.array([cdf(params, z) for z in zs.tolist()])
+            assert np.max(np.abs(got - ref)) <= 1e-12, alpha
+
+    def test_location_identity_is_exact(self):
+        # P(X <= xi) = 1/2 - arctan(alpha)/pi, over both branches of T
+        for alpha in np.linspace(-50.0, 50.0, 1001).tolist():
+            expected = 0.5 - math.atan(alpha) / math.pi
+            got = cdf(SkewNormalParams(3.0, 2.0, alpha), 3.0)
+            assert abs(got - expected) <= 1e-14, alpha
+
+    def test_infinite_and_nan_inputs(self):
+        for alpha in (-20.0, -1.0, 0.0, 0.5, 1.0, 7.0):
+            params = SkewNormalParams(2.0, 3.0, alpha)
+            assert cdf(params, -math.inf) == 0.0
+            assert cdf(params, math.inf) == 1.0
+            with pytest.raises(DomainError):
+                cdf(params, math.nan)
+
+    def test_owens_t_symmetries(self):
+        for h, a in ((0.3, 0.4), (1.7, 2.5), (4.0, 30.0), (0.0, 3.0)):
+            assert owens_t(-h, a) == owens_t(h, a)
+            assert owens_t(h, -a) == -owens_t(h, a)
+        # T(0, a) = arctan(a) / 2pi
+        for a in (0.2, 1.0, 5.0):
+            assert abs(owens_t(0.0, a) - math.atan(a) / (2.0 * math.pi)) \
+                <= 1e-16
 
 
 class TestMomentMaps:
