@@ -19,17 +19,17 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from . import skew_normal
-from .errors import DomainError, NoAdmissibleDose, NoDecreasingTail
-from .fitting import GaussianTypeParams, gaussian_type_value
+from .errors import (DomainError, NoAdmissibleDose, NoDecreasingTail,
+                     TooFewPoints, require_increasing)
+from .fitting import GaussianTypeParams, _uniform_grid, gaussian_type_value
 from .logistic import LogisticParams, evaluate as logistic_value
 from .skew_normal import MomentTriple, SkewNormalParams
 
 SigmaCurve = Union[LogisticParams, GaussianTypeParams]
 
 _GRID_POINTS = 1024
+_HEAD_TOL_REL = 0.05  # a head this flat (range / mean) counts as constant
 # the empirical turning dose is a coarse estimate; the fitted curve may
 # peak slightly later, so the decreasing check tolerates a peak within
 # this leading fraction of the grid
@@ -82,9 +82,8 @@ class AssumptionReport:
 class OptimalDoseResult:
     """Selected dose with the evidence used to select it.
 
-    Dispersion extrema are reported both from the model curve on the
-    search grid and, when supplied, from the raw per-dose estimates;
-    analyses often quote a mix of the two.
+    ``sd_model_min`` / ``sd_model_max`` are the dispersion extrema of the
+    model curve on the search grid.
     """
 
     dose: float
@@ -95,30 +94,28 @@ class OptimalDoseResult:
     objective: Optional[float]
     sd_model_min: float
     sd_model_max: float
-    sd_empirical_min: Optional[float]
-    sd_empirical_max: Optional[float]
 
 
-def classify_sigma_shape(doses: Sequence[float], sd_hats: Sequence[float],
-                         tol_rel: float = 0.05) -> tuple[str, float]:
+def classify_sigma_shape(doses: Sequence[float],
+                         sd_hats: Sequence[float]) -> tuple[str, float]:
     """Decide which family fits the per-dose standard deviations.
 
     The turning dose is the last dose attaining the maximum; the values
-    must decrease strictly after it.  A head that is constant up to
-    ``tol_rel`` (relative to its mean) points to the logistic family, a
+    must decrease strictly after it.  A head that is constant up to 5%
+    (its range relative to its mean) points to the logistic family, a
     strictly increasing head to the Gaussian-type family.
 
     Returns ``(family, d0_hat)`` with family ``"logistic"`` or
-    ``"gaussian_type"``.
+    ``"gaussian_type"``.  Fewer than 3 doses raise
+    :class:`~skewdose.errors.TooFewPoints`; doses that are not strictly
+    increasing raise :class:`~skewdose.errors.NonMonotoneAbscissae`.
     """
     if len(doses) != len(sd_hats):
         raise ValueError("doses and sd_hats must have equal length")
     n = len(doses)
     if n < 3:
-        raise ValueError(f"need at least 3 doses, got {n}")
-    for i in range(n - 1):
-        if not doses[i + 1] > doses[i]:
-            raise DomainError("doses must be strictly increasing")
+        raise TooFewPoints(f"need at least 3 doses, got {n}")
+    require_increasing(doses)
 
     peak_value = max(sd_hats)
     peak = max(i for i, s in enumerate(sd_hats) if s == peak_value)
@@ -132,7 +129,7 @@ def classify_sigma_shape(doses: Sequence[float], sd_hats: Sequence[float],
         family = "logistic"
     else:
         head_mean = math.fsum(head) / len(head)
-        if max(head) - min(head) <= tol_rel * abs(head_mean):
+        if max(head) - min(head) <= _HEAD_TOL_REL * abs(head_mean):
             family = "logistic"
         elif all(b > a for a, b in zip(head, head[1:])):
             family = "gaussian_type"
@@ -177,7 +174,8 @@ def _substream_seed(seed: int, dose: float) -> int:
     return (int(seed) ^ bits) & 0xFFFFFFFFFFFFFFFF
 
 
-def simulate(model: DoseEffectModel, d: float, n: int, seed: int) -> np.ndarray:
+def simulate(model: DoseEffectModel, d: float, n: int,
+             seed: int) -> "numpy.ndarray":
     """Draw n effect values at dose d; deterministic in (d, n, seed).
 
     Distinct doses under one seed use independent substreams keyed by
@@ -188,27 +186,26 @@ def simulate(model: DoseEffectModel, d: float, n: int, seed: int) -> np.ndarray:
                               seed=_substream_seed(seed, d))
 
 
-def check_assumptions(model: DoseEffectModel, horizon: float, eps: float,
-                      grid_points: int = _GRID_POINTS) -> AssumptionReport:
+def check_assumptions(model: DoseEffectModel, horizon: float,
+                      eps: float) -> AssumptionReport:
     """Verify the dispersion-curve shape numerically.
 
-    Two clauses on a uniform grid over [d0_hat, horizon]: the curve must
-    decrease strictly past its peak (the peak may sit within the leading
-    5% of the grid, since the empirical turning dose is coarse), and the
-    value at the horizon must fall below eps.
+    Two clauses on a 1024-point uniform grid over [d0_hat, horizon]: the
+    curve must decrease strictly past its peak (the peak may sit within the
+    leading 5% of the grid, since the empirical turning dose is coarse),
+    and the value at the horizon must fall below eps.
     """
     if not horizon > model.d0_hat:
         raise DomainError("horizon must exceed d0_hat")
-    step = (horizon - model.d0_hat) / (grid_points - 1)
-    grid = [model.d0_hat + i * step for i in range(grid_points)]
+    grid = _uniform_grid(model.d0_hat, horizon, _GRID_POINTS)
     values = [sigma_value(model.sigma_curve, d) for d in grid]
 
-    peak = max(range(grid_points), key=lambda i: values[i])
-    start = peak if peak <= _START_FRACTION * (grid_points - 1) else 0
+    peak = max(range(_GRID_POINTS), key=lambda i: values[i])
+    start = peak if peak <= _START_FRACTION * (_GRID_POINTS - 1) else 0
 
     decreasing_ok = True
     first_violation = None
-    for i in range(start, grid_points - 1):
+    for i in range(start, _GRID_POINTS - 1):
         if values[i + 1] < values[i]:
             continue
         if values[i] == 0.0 and values[i + 1] == 0.0:
@@ -237,9 +234,10 @@ def _minmax_normalize(values: list[float]) -> list[float]:
 def optimal_dose(model: DoseEffectModel, interval: tuple[float, float],
                  weights: Optional[tuple[float, float, float]] = None,
                  thresholds: Optional[tuple[float, float, float]] = None,
-                 empirical_sd: Optional[Sequence[float]] = None,
-                 grid_points: int = _GRID_POINTS) -> OptimalDoseResult:
+                 ) -> OptimalDoseResult:
     """Select a dose on the interval, by thresholds or by weights.
+
+    The candidates are a 1024-point uniform grid over the interval.
 
     Threshold mode (``thresholds = (mean_min, sd_max, skew_min)``)
     returns the *smallest* grid dose with mean >= mean_min,
@@ -267,9 +265,7 @@ def optimal_dose(model: DoseEffectModel, interval: tuple[float, float],
     if thresholds is not None and any(map(math.isnan, thresholds)):
         raise DomainError(f"thresholds must not be NaN, got {thresholds!r}")
 
-    step = (hi - lo) / (grid_points - 1)
-    grid = [lo + i * step for i in range(grid_points)]
-    grid[-1] = hi  # exact endpoint
+    grid = _uniform_grid(lo, hi, _GRID_POINTS)
     triples = [moments_at(model, d) for d in grid]
     mus = [t.mu for t in triples]
     sds = [t.sigma for t in triples]
@@ -293,14 +289,12 @@ def optimal_dose(model: DoseEffectModel, interval: tuple[float, float],
         sd_n = _minmax_normalize(sds)
         ga_n = _minmax_normalize(gammas)
         scores = [w_mean * mu_n[i] - w_sd * sd_n[i] + w_skew * ga_n[i]
-                  for i in range(grid_points)]
+                  for i in range(_GRID_POINTS)]
         best = max(scores)
         chosen = scores.index(best)  # first occurrence: smallest dose
         mode = "scalarized"
         objective = best
 
-    emp_min = min(empirical_sd) if empirical_sd else None
-    emp_max = max(empirical_sd) if empirical_sd else None
     return OptimalDoseResult(
         dose=grid[chosen],
         mode=mode,
@@ -310,6 +304,4 @@ def optimal_dose(model: DoseEffectModel, interval: tuple[float, float],
         objective=objective,
         sd_model_min=min(sds),
         sd_model_max=max(sds),
-        sd_empirical_min=emp_min,
-        sd_empirical_max=emp_max,
     )

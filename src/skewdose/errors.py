@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input checks that
+raise them.
 
 Every error carries a stable ``code`` (the class name) so the command-line
 front end can print ``ERROR <code>: <message>`` lines without string
@@ -6,6 +7,9 @@ matching on messages.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 
 class SkewDoseError(Exception):
@@ -91,3 +95,19 @@ class DegenerateCohort(SkewDoseError):
     def __init__(self, dose: float):
         super().__init__(f"cohort at dose {dose:g} has n < 2 or zero variance")
         self.dose = dose
+
+
+def require_finite(obj, *names: str) -> None:
+    """Raise DomainError unless each named attribute of obj is finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def require_increasing(xs: Sequence[float]) -> None:
+    """Raise NonMonotoneAbscissae unless xs is strictly increasing."""
+    for i in range(len(xs) - 1):
+        if not xs[i + 1] > xs[i]:
+            raise NonMonotoneAbscissae(
+                f"abscissae must be strictly increasing (violated at index {i + 1})")

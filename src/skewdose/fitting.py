@@ -27,16 +27,26 @@ from .errors import (
     NoBracket,
     NoFeasibleOffset,
     NonFinite,
-    NonMonotoneAbscissae,
     NonMonotoneData,
     SingularDesign,
     TooFewPoints,
+    require_finite,
+    require_increasing,
 )
-from .logistic import InflectionData, LogisticParams, evaluate, params_from_inflection
+from .logistic import (_EXP_MAX, InflectionData, LogisticParams, evaluate,
+                       params_from_inflection)
 
-_EXP_MAX = 709.0
 _SCAN_POINTS = 512
 _BISECT_WIDTH = 1e-12
+_OFFSET_CANDIDATES = 256
+
+
+def _uniform_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced points from lo to hi, the last exactly hi."""
+    step = (hi - lo) / (n - 1)
+    grid = [lo + i * step for i in range(n)]
+    grid[-1] = hi
+    return grid
 
 
 @dataclass(frozen=True)
@@ -64,10 +74,7 @@ class GaussianTypeParams:
     q: float
 
     def __post_init__(self):
-        for name in ("l", "m", "p", "q"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        require_finite(self, "l", "m", "p", "q")
         if not self.m > 0.0:
             raise DomainError(
                 f"Gaussian-type curve needs m > 0, got m={self.m!r}")
@@ -154,16 +161,14 @@ def linreg(xs: Sequence[float], zs: Sequence[float],
 
 
 def fit_known_limits(xs: Sequence[float], ys: Sequence[float],
-                     l1: float, l2: float,
-                     centering: str = "n") -> LogisticParams:
+                     l1: float, l2: float) -> LogisticParams:
     """Fit (m, p) given both asymptotes, via the linearizing transform.
 
-    Exact on noiseless logistic samples for any >= 2 distinct abscissae
-    (the default OLS centering is consistent; ``centering="n-1"`` selects
-    the alternative variant, which is not).
+    The regression is ordinary least squares, which is exact on noiseless
+    logistic samples for any >= 2 distinct abscissae.
     """
     zs = [phi_transform(y, l1, l2) for y in ys]
-    reg = linreg(xs, zs, centering=centering)
+    reg = linreg(xs, zs)
     # the transformed data lie on m x + p, so the decreasing-line slope
     # estimate carries the opposite sign of the logistic slope
     return LogisticParams(m=-reg.slope_estimate, p=reg.intercept_estimate,
@@ -180,10 +185,7 @@ def detect_inflection(xs: Sequence[float], ys: Sequence[float]) -> InflectionApp
     n = len(xs)
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    for i in range(n - 1):
-        if not xs[i + 1] > xs[i]:
-            raise NonMonotoneAbscissae(
-                f"abscissae must be strictly increasing (violated at index {i + 1})")
+    require_increasing(xs)
     best = 0
     best_abs = -math.inf
     slopes = []
@@ -229,29 +231,25 @@ def _l1_equation_slope(l1_candidate: float, y1: float,
             / (approx.gamma_n - l1_candidate) ** 2)
 
 
-def solve_l1(y1: float, approx: InflectionApprox,
-             bracket_lo: Optional[float] = None) -> float:
+def solve_l1(y1: float, approx: InflectionApprox) -> float:
     """Solve the lower-asymptote equation for increasing data.
 
-    Scans ``_SCAN_POINTS`` candidates on (bracket_lo, y1) for a sign
-    change, bisects to interval width 1e-12, then applies one Newton
-    polish step.  The default bracket reaches 10 midpoint gaps below y1.
+    Scans ``_SCAN_POINTS`` candidates for a sign change on a bracket that
+    reaches 10 midpoint gaps (gamma_n - y1) below y1 and stops just short
+    of y1, bisects to interval width 1e-12, then applies one Newton polish
+    step.
     """
     if not y1 < approx.gamma_n:
         raise DomainError(
             f"increasing-data convention requires y1 < gamma_n "
             f"(y1={y1!r}, gamma_n={approx.gamma_n!r})")
-    if bracket_lo is None:
-        bracket_lo = y1 - 10.0 * (approx.gamma_n - y1)
-    if not bracket_lo < y1:
-        raise DomainError("bracket_lo must lie below y1")
-    hi = y1 - 1e-9 * (y1 - bracket_lo)
+    lo = y1 - 10.0 * (approx.gamma_n - y1)
+    hi = y1 - 1e-9 * (y1 - lo)
 
     def resid(l):
         return l1_equation_residual(l, y1, approx)
 
-    step = (hi - bracket_lo) / (_SCAN_POINTS - 1)
-    grid = [bracket_lo + i * step for i in range(_SCAN_POINTS)]
+    grid = _uniform_grid(lo, hi, _SCAN_POINTS)
     values = [resid(l) for l in grid]
     if all(math.isinf(v) or math.isnan(v) for v in values):
         raise NonFinite("residual is non-finite over the whole scan grid")
@@ -289,7 +287,7 @@ def solve_l1(y1: float, approx: InflectionApprox,
     slope = _l1_equation_slope(root, y1, approx)
     if math.isfinite(slope) and slope != 0.0:
         polished = root - resid(root) / slope
-        if bracket_lo < polished < y1 and \
+        if lo < polished < y1 and \
                 abs(resid(polished)) <= abs(resid(root)):
             root = polished
     return root
@@ -309,11 +307,12 @@ def _strict_direction(ys: Sequence[float]) -> int:
 
 def fit_logistic(xs: Sequence[float], ys: Sequence[float],
                  regime: str = "none",
-                 l1: Optional[float] = None, l2: Optional[float] = None,
-                 centering: str = "n") -> tuple[LogisticParams, FitReport]:
+                 l1: Optional[float] = None,
+                 l2: Optional[float] = None) -> tuple[LogisticParams, FitReport]:
     """Fit a logistic curve under one of three knowledge regimes.
 
-    regime = "both"  -- l1 and l2 given; transform-and-regress.
+    regime = "both"  -- l1 and l2 given; transform-and-regress (ordinary
+                        least squares).
     regime = "l1"    -- l1 given; l2 approximated as 2 gamma_n - l1,
                         then transform-and-regress.
     regime = "none"  -- lower asymptote solved from the steepest-secant
@@ -335,10 +334,7 @@ def fit_logistic(xs: Sequence[float], ys: Sequence[float],
         raise ValueError("xs and ys must have equal length")
     if len(xs) < 2:
         raise TooFewPoints(f"need at least 2 points, got {len(xs)}")
-    for i in range(len(xs) - 1):
-        if not xs[i + 1] > xs[i]:
-            raise NonMonotoneAbscissae(
-                f"abscissae must be strictly increasing (violated at index {i + 1})")
+    require_increasing(xs)
 
     x0 = xs[0]
     u = [x - x0 for x in xs]
@@ -348,12 +344,12 @@ def fit_logistic(xs: Sequence[float], ys: Sequence[float],
     if regime == "both":
         if l1 is None or l2 is None:
             raise ValueError("regime 'both' requires l1 and l2")
-        shifted = fit_known_limits(u, ys, l1, l2, centering=centering)
+        shifted = fit_known_limits(u, ys, l1, l2)
     elif regime == "l1":
         if l1 is None:
             raise ValueError("regime 'l1' requires l1")
         l2_n = 2.0 * approx.gamma_n - l1
-        shifted = fit_known_limits(u, ys, l1, l2_n, centering=centering)
+        shifted = fit_known_limits(u, ys, l1, l2_n)
     elif regime == "none":
         direction = _strict_direction(ys)
         if direction > 0:
@@ -433,17 +429,15 @@ def polyfit_quadratic(xs: Sequence[float],
 
 
 def fit_gaussian_type(ds: Sequence[float], vs: Sequence[float],
-                      offset: "float | str" = 0.0,
-                      grid_lo: Optional[float] = None,
-                      grid_hi: Optional[float] = None,
-                      grid_steps: int = 256) -> GaussianTypeParams:
+                      offset: "float | str" = 0.0) -> GaussianTypeParams:
     """Fit v(d) = l + exp(-m d^2 + p d + q).
 
     ``offset`` is either a fixed l (the curve then log-linearizes, so the
     fit reduces to quadratic least squares on log(v - l)) or the string
-    ``"grid"``: ``grid_steps`` uniform candidates strictly below min(vs)
-    (or on an explicit [grid_lo, grid_hi]) are tried and the one with the
-    smallest squared residual in original units wins.
+    ``"grid"``: 256 uniform candidates on [min(vs) - span,
+    min(vs) - 1e-6 span], span = max(vs) - min(vs) (or max(1, |min(vs)|)
+    for constant values), are tried and the one with the smallest squared
+    residual in original units wins.
     """
     if len(ds) != len(vs):
         raise ValueError("ds and vs must have equal length")
@@ -453,24 +447,13 @@ def fit_gaussian_type(ds: Sequence[float], vs: Sequence[float],
         span = max(vs) - lo_v
         if span <= 0.0:
             span = max(1.0, abs(lo_v))
-        lo = grid_lo if grid_lo is not None else lo_v - span
-        hi = grid_hi if grid_hi is not None else lo_v - 1e-6 * span
-        if grid_steps < 1:
-            raise ValueError("grid_steps must be >= 1")
-        if grid_steps == 1:
-            candidates = [lo]
-        else:
-            step = (hi - lo) / (grid_steps - 1)
-            candidates = [lo + i * step for i in range(grid_steps)]
         best = None
         best_sse = math.inf
-        for cand in candidates:
+        for cand in _uniform_grid(lo_v - span, lo_v - 1e-6 * span,
+                                  _OFFSET_CANDIDATES):
             if any(v - cand <= 0.0 for v in vs):
                 continue
-            try:
-                a, b, c = polyfit_quadratic(ds, [math.log(v - cand) for v in vs])
-            except SingularDesign:
-                raise
+            a, b, c = polyfit_quadratic(ds, [math.log(v - cand) for v in vs])
             if a >= 0.0:
                 continue  # would not decay; cannot be returned
             sse = math.fsum(

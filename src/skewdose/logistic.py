@@ -28,16 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .quadrature import integrate
 
 # exp argument beyond which the curve saturates to the asymptote
 _EXP_MAX = 709.0
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +45,7 @@ class LogisticParams:
     l2: float
 
     def __post_init__(self):
-        for name in ("m", "p", "l1", "l2"):
-            _require_finite(name, getattr(self, name))
+        require_finite(self, "m", "p", "l1", "l2")
         if self.m == 0.0:
             raise DomainError("m must be nonzero")
         if not self.l2 > self.l1:
@@ -155,13 +149,13 @@ def l1_residual(l1_candidate: float, f0: float, inf: InflectionData) -> float:
         - 2.0 * inf.theta * inf.f_prime_theta / (inf.f_theta - l1_candidate)
 
 
-def ode_residual(params: LogisticParams, x: float, tol: float = 1e-8) -> float:
+def ode_residual(params: LogisticParams, x: float) -> float:
     """Defect of the curve in its own integral equation.
 
     The logistic solves
     ``y(x) = f(0) - m * integral_0^x (y - l1)(1 - (y - l1)/(l2 - l1)) du``;
-    the integral is evaluated by adaptive Simpson quadrature, so the
-    residual is bounded by the quadrature tolerance for true parameters.
+    the integral is evaluated by adaptive Simpson quadrature to absolute
+    tolerance 1e-8, so the residual is bounded by that for true parameters.
     """
     f0 = evaluate(params, 0.0)
     width = params.width
@@ -170,5 +164,5 @@ def ode_residual(params: LogisticParams, x: float, tol: float = 1e-8) -> float:
         shifted = evaluate(params, u) - params.l1
         return shifted * (1.0 - shifted / width)
 
-    rhs = f0 - params.m * integrate(integrand, 0.0, x, tol=tol)
+    rhs = f0 - params.m * integrate(integrand, 0.0, x, tol=1e-8)
     return abs(evaluate(params, x) - rhs)

@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .errors import DegenerateSample, DomainError, InfeasibleSkewness
+from .errors import DegenerateSample, DomainError, InfeasibleSkewness, \
+    require_finite
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -52,11 +51,6 @@ CLAMP_LIMIT = 0.995
 _OWENS_T_NODES = 20
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SkewNormalParams:
     """Location / scale / shape triple of the skew-normal family."""
@@ -66,8 +60,7 @@ class SkewNormalParams:
     alpha: float
 
     def __post_init__(self):
-        for name in ("xi", "omega", "alpha"):
-            _require_finite(name, getattr(self, name))
+        require_finite(self, "xi", "omega", "alpha")
         if self.omega <= 0.0:
             raise DomainError(f"omega must be > 0, got {self.omega!r}")
 
@@ -92,8 +85,7 @@ class MomentTriple:
     gamma: float
 
     def __post_init__(self):
-        for name in ("mu", "sigma", "gamma"):
-            _require_finite(name, getattr(self, name))
+        require_finite(self, "mu", "sigma", "gamma")
         if self.sigma <= 0.0:
             raise DomainError(f"sigma must be > 0, got {self.sigma!r}")
 
@@ -234,6 +226,8 @@ def estimate_moments(sample_values: Sequence[float]) -> MomentTriple:
     Mean, standard deviation (population form, no Bessel correction) and
     skewness as the average cubed standardized deviation.
     """
+    import numpy as np  # here, not at the top: curve-only paths never load it
+
     arr = np.asarray(sample_values, dtype=float)
     n = arr.size
     if n < 2:
@@ -258,13 +252,15 @@ def estimate_params(sample_values: Sequence[float],
     return params_of_moments(estimate_moments(sample_values), clamp=clamp)
 
 
-def sample(params: SkewNormalParams, n: int, seed: int) -> np.ndarray:
+def sample(params: SkewNormalParams, n: int, seed: int) -> "numpy.ndarray":
     """Draw n variates, reproducibly for a fixed seed.
 
     Uses the two-normal representation
     ``X = xi + omega (delta |Z0| + sqrt(1 - delta^2) Z1)``
     with independent standard normals Z0, Z1.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))

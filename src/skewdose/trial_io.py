@@ -28,6 +28,7 @@ from .errors import (
     NegativeDose,
     ParseError,
 )
+from .fitting import _uniform_grid
 
 _RAW_HEADER = "dose,value"
 _SUMMARY_FIELDS = ("dose", "mean", "sd", "skew")
@@ -183,10 +184,7 @@ def _curve_grid(interval: tuple[float, float], steps: int) -> list[float]:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps == 1:
         return [0.5 * (lo + hi)]
-    step = (hi - lo) / (steps - 1)
-    grid = [lo + i * step for i in range(steps)]
-    grid[-1] = hi
-    return grid
+    return _uniform_grid(lo, hi, steps)
 
 
 def emit_curve_points(curve: Callable[[float], float],

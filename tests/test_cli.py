@@ -1,7 +1,13 @@
 """Command-line pipeline: exit codes, determinism, document round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import skewdose
 from conftest import TRIAL_DOSES, TRIAL_MEANS, TRIAL_SDS, TRIAL_SKEWS
 from skewdose.cli import main
 from skewdose.dose_effect import moments_at
@@ -122,6 +128,18 @@ class TestFit:
         bad.write_text("not,a,header\n1,2,3\n")
         assert main(["fit", "--input", str(bad)]) == 1
         assert "ERROR ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regime", [
+        ["--regime", "both", "--l1", "20", "--l2", "100"],
+        ["--regime", "l1", "--l1", "20"],
+    ])
+    def test_two_doses_are_too_few(self, tmp_path, capsys, regime):
+        src = tmp_path / "two.csv"
+        src.write_text("dose,mean,sd,skew\n0,30,20,0.1\n3,80,30,0.3\n")
+        assert main(["fit", "--input", str(src)] + regime) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "ERROR TooFewPoints: need at least 3 doses, got 2\n"
 
 
 class TestSimulate:
@@ -287,3 +305,37 @@ class TestModelDocument:
             parse_model("mu.m=1\nmu.p=2\n")
         with pytest.raises(ParseError):
             parse_model("mu.m=x\n")
+
+
+def test_summary_table_path_does_not_import_numpy(tmp_path):
+    """fit, optimal, check and plot on a summary table stay pure Python."""
+    script = f"""
+import sys
+from skewdose.cli import main
+d = {str(tmp_path)!r}
+with open(d + "/summary.csv", "w") as fh:
+    fh.write({SUMMARY_CSV!r})
+runs = [
+    ["fit", "--input", d + "/summary.csv", "--output", d + "/model.txt"],
+    ["optimal", "--input", d + "/model.txt", "--interval", "0", "3",
+     "--weights", "1", "1", "1", "--output", d + "/o1.txt"],
+    ["optimal", "--input", d + "/model.txt", "--interval", "0", "3",
+     "--thresholds", "40", "50", "0", "--output", d + "/o2.txt"],
+    ["check", "--input", d + "/model.txt", "--output", d + "/c.txt"],
+    ["plot", "--input", d + "/model.txt", "--curve", "gamma",
+     "--interval", "0", "3", "--output", d + "/p.csv"],
+    ["plot", "--input", d + "/model.txt", "--curve", "sigma",
+     "--interval", "0", "3", "--format", "svg", "--output", d + "/p.svg"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    src_dir = str(Path(skewdose.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -15,7 +15,12 @@ from skewdose.dose_effect import (
     params_at,
     simulate,
 )
-from skewdose.errors import DomainError, NoAdmissibleDose, NoDecreasingTail
+from skewdose.errors import (
+    DomainError,
+    NoAdmissibleDose,
+    NoDecreasingTail,
+    NonMonotoneAbscissae,
+)
 from skewdose.fitting import GaussianTypeParams
 from skewdose.logistic import LogisticParams
 from skewdose.skew_normal import moments_of_params
@@ -50,6 +55,9 @@ class TestClassifySigmaShape:
         with pytest.raises(DomainError):
             classify_sigma_shape([0.0, 1.0, 2.0, 3.0, 4.0],
                                  [5.0, 2.0, 9.0, 4.0, 1.0])
+        # disordered doses are rejected before the values are looked at
+        with pytest.raises(NonMonotoneAbscissae, match="index 2"):
+            classify_sigma_shape([0.0, 2.0, 1.0, 3.0], [1.0, 2.0, 3.0, 1.0])
 
 
 class TestEvaluation:
@@ -206,10 +214,7 @@ class TestOptimalDose:
         assert result.dose == 2.2
 
     def test_rationale_reports_both_extrema(self, fitted_model):
-        result = optimal_dose(fitted_model, (0.0, 3.0), weights=(1.0, 0.0, 0.0),
-                              empirical_sd=TRIAL_SDS)
-        assert result.sd_empirical_min == min(TRIAL_SDS)
-        assert result.sd_empirical_max == max(TRIAL_SDS)
+        result = optimal_dose(fitted_model, (0.0, 3.0), weights=(1.0, 0.0, 0.0))
         assert result.sd_model_min < result.sd_model_max
         assert abs(result.sd - 32.4903) < 5e-3
 
