@@ -12,6 +12,7 @@ exit 0 on success, 1 on domain errors (reported to stderr as
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Optional, Sequence
@@ -42,7 +43,8 @@ def _write_output(path: str, text: str) -> None:
 
 def _load_summary(text: str) -> list[SummaryRow]:
     """Accept either raw observations or ready-made summary rows."""
-    header = text.splitlines()[0].strip() if text.splitlines() else ""
+    # only the first line: splitting the whole input costs as much as parsing
+    header = (text.partition("\n")[0].splitlines() or [""])[0].strip()
     if header == "dose,value":
         return trial_io.summarize(trial_io.parse_csv(text))
     if header.startswith("dose,mean,sd,skew"):
@@ -220,8 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -147,6 +147,13 @@ def sigma_value(curve: SigmaCurve, d: float) -> float:
     return gaussian_type_value(curve, d)
 
 
+def _sigma_column(curve: SigmaCurve, grid: Sequence[float]) -> list[float]:
+    """sigma_value over a grid, with the family resolved once."""
+    if isinstance(curve, LogisticParams):
+        return [logistic_value(curve, d) for d in grid]
+    return [gaussian_type_value(curve, d) for d in grid]
+
+
 def moments_at(model: DoseEffectModel, d: float) -> MomentTriple:
     """Model mean, standard deviation and skewness at dose d."""
     if d < 0.0:
@@ -193,12 +200,13 @@ def check_assumptions(model: DoseEffectModel, horizon: float,
     Two clauses on a 1024-point uniform grid over [d0_hat, horizon]: the
     curve must decrease strictly past its peak (the peak may sit within the
     leading 5% of the grid, since the empirical turning dose is coarse),
-    and the value at the horizon must fall below eps.
+    and the value at the horizon must fall below eps.  The dispersion
+    family is resolved once for the whole grid.
     """
     if not horizon > model.d0_hat:
         raise DomainError("horizon must exceed d0_hat")
     grid = _uniform_grid(model.d0_hat, horizon, _GRID_POINTS)
-    values = [sigma_value(model.sigma_curve, d) for d in grid]
+    values = _sigma_column(model.sigma_curve, grid)
 
     peak = max(range(_GRID_POINTS), key=lambda i: values[i])
     start = peak if peak <= _START_FRACTION * (_GRID_POINTS - 1) else 0
@@ -224,6 +232,34 @@ def check_assumptions(model: DoseEffectModel, horizon: float,
     )
 
 
+def _moment_columns(model: DoseEffectModel, grid: list[float]
+                    ) -> tuple[list[float], list[float], list[float]]:
+    """Mean, sd and skewness columns over an increasing grid.
+
+    The same values and the same first error as calling
+    :func:`moments_at` at each grid dose in turn, without building a
+    :class:`MomentTriple` per dose.
+    """
+    if grid[0] < 0.0:
+        raise DomainError(f"dose must be >= 0, got {grid[0]!r}")
+    try:
+        mu_curve, gamma_curve = model.mu_curve, model.gamma_curve
+        mus = [logistic_value(mu_curve, d) for d in grid]
+        sds = _sigma_column(model.sigma_curve, grid)
+        gammas = [gaussian_type_value(gamma_curve, d) for d in grid]
+    except ArithmeticError:  # math.exp overflows at some dose
+        # an earlier dose may hold an invalid moment, which takes precedence
+        for d in grid:
+            moments_at(model, d)
+        raise
+    # a finite sum means every term is finite
+    if not (math.isfinite(sum(mus)) and math.isfinite(sum(sds))
+            and math.isfinite(sum(gammas)) and min(sds) > 0.0):
+        for mu, sd, gamma in zip(mus, sds, gammas):
+            MomentTriple(mu=mu, sigma=sd, gamma=gamma)
+    return mus, sds, gammas
+
+
 def _minmax_normalize(values: list[float]) -> list[float]:
     lo, hi = min(values), max(values)
     if hi == lo:
@@ -237,7 +273,9 @@ def optimal_dose(model: DoseEffectModel, interval: tuple[float, float],
                  ) -> OptimalDoseResult:
     """Select a dose on the interval, by thresholds or by weights.
 
-    The candidates are a 1024-point uniform grid over the interval.
+    The candidates are a 1024-point uniform grid over the interval.  The
+    mean, sd and skewness columns are evaluated curve by curve; they and
+    any error equal what :func:`moments_at` gives dose by dose.
 
     Threshold mode (``thresholds = (mean_min, sd_max, skew_min)``)
     returns the *smallest* grid dose with mean >= mean_min,
@@ -266,10 +304,7 @@ def optimal_dose(model: DoseEffectModel, interval: tuple[float, float],
         raise DomainError(f"thresholds must not be NaN, got {thresholds!r}")
 
     grid = _uniform_grid(lo, hi, _GRID_POINTS)
-    triples = [moments_at(model, d) for d in grid]
-    mus = [t.mu for t in triples]
-    sds = [t.sigma for t in triples]
-    gammas = [t.gamma for t in triples]
+    mus, sds, gammas = _moment_columns(model, grid)
 
     if thresholds is not None:
         mean_min, sd_max, skew_min = thresholds

@@ -42,9 +42,20 @@ _OFFSET_CANDIDATES = 256
 
 
 def _uniform_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 2 evenly spaced points from lo to hi, the last exactly hi."""
+    """n >= 2 evenly spaced points from lo to hi, the last exactly hi.
+
+    Non-finite endpoints raise :class:`~skewdose.errors.DomainError`.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(
+            f"grid endpoints must be finite, got lo={lo!r}, hi={hi!r}")
     step = (hi - lo) / (n - 1)
-    grid = [lo + i * step for i in range(n)]
+    if math.isinf(step):
+        # hi - lo overflows: step in halves, each of which stays finite
+        half = hi / (2 * (n - 1)) - lo / (2 * (n - 1))
+        grid = [lo + i * half + i * half for i in range(n)]
+    else:
+        grid = [lo + i * step for i in range(n)]
     grid[-1] = hi
     return grid
 
@@ -371,7 +382,10 @@ def fit_logistic(xs: Sequence[float], ys: Sequence[float],
     # undo the abscissa shift: exponent m(x - x0) + p_s == m x + (p_s - m x0)
     params = LogisticParams(m=shifted.m, p=shifted.p - shifted.m * x0,
                             l1=shifted.l1, l2=shifted.l2)
-    sse = math.fsum((evaluate(params, x) - y) ** 2 for x, y in zip(xs, ys))
+    try:
+        sse = math.fsum((evaluate(params, x) - y) ** 2 for x, y in zip(xs, ys))
+    except OverflowError:  # a squared residual, or their sum, exceeds a float
+        sse = math.inf
     report = FitReport(regime=regime, inflection=approx,
                        l1_equation_residual=eq_residual, sse=sse)
     return params, report
@@ -386,46 +400,73 @@ def _fit_increasing(u: Sequence[float], ys: Sequence[float],
     return params_from_inflection(l1_n, ys[0], inflection), residual
 
 
-def _solve3(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """Solve a 3x3 system by Gaussian elimination with partial pivoting."""
-    a = [row[:] + [r] for row, r in zip(matrix, rhs)]
+def _quadratic_solver(xs: Sequence[float]):
+    """Factor the normal equations of a quadratic fit on xs once.
+
+    Returns ``solve(ys) -> (a, b, c)`` for y = a x^2 + b x + c.  The
+    power sums and the partial-pivoting elimination of the 3x3 normal
+    matrix depend on xs only, so they are done here; ``solve`` forms the
+    right-hand side and replays the recorded row swaps and updates on it.
+    The arithmetic is that of eliminating the augmented system directly.
+    Needs at least three distinct abscissae; a singular matrix raises
+    :class:`~skewdose.errors.SingularDesign` when ``solve`` is called.
+    """
+    if len(set(xs)) < 3:
+        raise SingularDesign(
+            f"need at least 3 distinct abscissae, got {len(set(xs))}")
+    s = [math.fsum(x ** k for x in xs) for k in range(5)]
+    powers = [[x ** k for x in xs] for k in range(3)]
+    a = [[s[4], s[3], s[2]],
+         [s[3], s[2], s[1]],
+         [s[2], s[1], s[0]]]
+    steps = []  # (column, pivot row, [(row, factor), ...])
+    singular = False
     for col in range(3):
         pivot = max(range(col, 3), key=lambda r: abs(a[r][col]))
         if a[pivot][col] == 0.0:
-            raise SingularDesign("normal equations are singular")
+            singular = True
+            break
         a[col], a[pivot] = a[pivot], a[col]
+        updates = []
         for r in range(col + 1, 3):
             factor = a[r][col] / a[col][col]
-            for c in range(col, 4):
+            for c in range(col, 3):
                 a[r][c] -= factor * a[col][c]
-    x = [0.0, 0.0, 0.0]
-    for row in range(2, -1, -1):
-        acc = a[row][3] - sum(a[row][c] * x[c] for c in range(row + 1, 3))
-        x[row] = acc / a[row][row]
-    return x
+            updates.append((r, factor))
+        steps.append((col, pivot, updates))
+
+    def solve(ys: Sequence[float]) -> tuple[float, float, float]:
+        t = [math.fsum([y * xk for xk, y in zip(pk, ys)]) for pk in powers]
+        rhs = [t[2], t[1], t[0]]
+        if singular:
+            raise SingularDesign("normal equations are singular")
+        for col, pivot, updates in steps:
+            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+            for r, factor in updates:
+                rhs[r] -= factor * rhs[col]
+        # back-substitution in the operation order of sum(), which starts at 0
+        (u00, u01, u02), (_, u11, u12), (_, _, u22) = a
+        r0, r1, r2 = rhs
+        x2 = (r2 - 0) / u22
+        x1 = (r1 - (0 + u12 * x2)) / u11
+        x0 = (r0 - (0 + u01 * x1 + u02 * x2)) / u00
+        return x0, x1, x2
+
+    return solve
 
 
 def polyfit_quadratic(xs: Sequence[float],
                       ys: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares quadratic y = a x^2 + b x + c via normal equations.
 
-    The 3x3 system is solved directly with partial pivoting.  Needs at
-    least three distinct abscissae.
+    The 3x3 system is solved by Gaussian elimination with partial
+    pivoting; :func:`fit_gaussian_type` eliminates it once for all its
+    offset candidates, with the same arithmetic.  Needs at least three
+    distinct abscissae.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
-    if len(set(xs)) < 3:
-        raise SingularDesign(
-            f"need at least 3 distinct abscissae, got {len(set(xs))}")
-    s = [math.fsum(x ** k for x in xs) for k in range(5)]
-    t = [math.fsum(y * x ** k for x, y in zip(xs, ys)) for k in range(3)]
-    a, b, c = _solve3(
-        [[s[4], s[3], s[2]],
-         [s[3], s[2], s[1]],
-         [s[2], s[1], s[0]]],
-        [t[2], t[1], t[0]],
-    )
-    return a, b, c
+    return _quadratic_solver(xs)(ys)
 
 
 def fit_gaussian_type(ds: Sequence[float], vs: Sequence[float],
@@ -437,7 +478,9 @@ def fit_gaussian_type(ds: Sequence[float], vs: Sequence[float],
     ``"grid"``: 256 uniform candidates on [min(vs) - span,
     min(vs) - 1e-6 span], span = max(vs) - min(vs) (or max(1, |min(vs)|)
     for constant values), are tried and the one with the smallest squared
-    residual in original units wins.
+    residual in original units wins.  The candidates share their
+    abscissae, so the normal matrix of the quadratic fit is factored once
+    per call and each candidate only solves for its own log-values.
     """
     if len(ds) != len(vs):
         raise ValueError("ds and vs must have equal length")
@@ -449,11 +492,17 @@ def fit_gaussian_type(ds: Sequence[float], vs: Sequence[float],
             span = max(1.0, abs(lo_v))
         best = None
         best_sse = math.inf
+        # factored at the first feasible candidate, so that data with no
+        # feasible candidate still end in NoFeasibleOffset
+        solve = None
         for cand in _uniform_grid(lo_v - span, lo_v - 1e-6 * span,
                                   _OFFSET_CANDIDATES):
             if any(v - cand <= 0.0 for v in vs):
                 continue
-            a, b, c = polyfit_quadratic(ds, [math.log(v - cand) for v in vs])
+            logs = [math.log(v - cand) for v in vs]
+            if solve is None:
+                solve = _quadratic_solver(ds)
+            a, b, c = solve(logs)
             if a >= 0.0:
                 continue  # would not decay; cannot be returned
             sse = math.fsum(

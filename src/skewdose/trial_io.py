@@ -182,9 +182,8 @@ def _curve_grid(interval: tuple[float, float], steps: int) -> list[float]:
     lo, hi = interval
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if steps == 1:
-        return [0.5 * (lo + hi)]
-    return _uniform_grid(lo, hi, steps)
+    grid = _uniform_grid(lo, hi, max(steps, 2))  # checks the endpoints
+    return grid if steps > 1 else [0.5 * (lo + hi)]
 
 
 def emit_curve_points(curve: Callable[[float], float],

@@ -1,5 +1,7 @@
 """Command-line pipeline: exit codes, determinism, document round trips."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -141,6 +143,40 @@ class TestFit:
         assert out == ""
         assert err == "ERROR TooFewPoints: need at least 3 doses, got 2\n"
 
+    def test_huge_known_asymptotes_fit_without_traceback(self, summary_file,
+                                                         capsys):
+        # the curve residuals square to inf, which must not raise
+        assert main(["fit", "--input", str(summary_file), "--regime", "both",
+                     "--l1", "-1e308", "--l2", "1e308"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        model = parse_model(out)
+        assert (model.mu_curve.l1, model.mu_curve.l2) == (-1e308, 1e308)
+        assert serialize_model(model) == out
+
+    @pytest.mark.parametrize("csv", [SUMMARY_CSV, raw_bump_csv()])
+    @pytest.mark.parametrize("newline", ["\r\n", "\x0c", "\x0b", "\x85"])
+    def test_header_line_ends_at_any_line_boundary(self, tmp_path, capsys,
+                                                   csv, newline):
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        plain.write_text(csv)
+        other.write_bytes(csv.replace("\n", newline, 1).encode())
+        assert main(["fit", "--input", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["fit", "--input", str(other)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("text", ["", "\n" + SUMMARY_CSV])
+    def test_missing_header_line_is_a_parse_error(self, tmp_path, capsys,
+                                                  text):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert main(["fit", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("ERROR ParseError: line 1: expected header "
+                       "'dose,value' or 'dose,mean,sd,skew'\n")
+
 
 class TestSimulate:
     def test_byte_identical_with_same_seed(self, model_file, tmp_path):
@@ -238,6 +274,32 @@ class TestPlotAndCheck:
                      "--interval", "3", "3", "--format", "svg"]) == 1
         assert_one_error_line(capsys.readouterr().err, "DomainError")
 
+    def test_overflowing_interval_width_keeps_doses_inside(self, model_file,
+                                                           capsys):
+        assert main(["plot", "--input", str(model_file), "--curve", "mu",
+                     "--interval", "-1e308", "1e308", "--steps", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [float(x) for x, _ in rows] == [-1e308, 0.0, 1e308]
+        assert all(math.isfinite(float(y)) for _, y in rows)
+
+    @pytest.mark.parametrize("argv, lo, hi", [
+        (["plot", "--curve", "mu", "--interval", "0", "inf"], "0.0", "inf"),
+        (["plot", "--curve", "mu", "--interval", "0", "inf", "--steps", "1"],
+         "0.0", "inf"),
+        (["check", "--horizon", "inf"], "1.5", "inf"),
+        (["optimal", "--interval", "0", "inf", "--weights", "1", "1", "1"],
+         "0.0", "inf"),
+    ])
+    def test_infinite_interval_is_a_domain_error(self, model_file, capsys,
+                                                 argv, lo, hi):
+        assert main(argv + ["--input", str(model_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"ERROR DomainError: grid endpoints must be finite, "
+                       f"got lo={lo}, hi={hi}\n")
+
     def test_check_passes_on_trial_model(self, model_file, capsys):
         assert main(["check", "--input", str(model_file),
                      "--horizon", "20", "--eps", "1e-3"]) == 0
@@ -307,6 +369,16 @@ class TestModelDocument:
             parse_model("mu.m=x\n")
 
 
+def _python_with_src(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this skewdose."""
+    src_dir = str(Path(skewdose.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_summary_table_path_does_not_import_numpy(tmp_path):
     """fit, optimal, check and plot on a summary table stay pure Python."""
     script = f"""
@@ -331,11 +403,51 @@ for argv in runs:
     assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
-    src_dir = str(Path(skewdose.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _python_with_src(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path):
+    """Calls sharing one process and parser print what fresh processes do.
+
+    The order makes leaked values visible: a --weights left over from the
+    first call would make the second a usage error, and a --regime left
+    over from the third would change the fourth's model document.
+    """
+    summary = tmp_path / "summary.csv"
+    summary.write_text(SUMMARY_CSV)
+    model = tmp_path / "model.txt"
+    assert main(["fit", "--input", str(summary), "--output", str(model)]) == 0
+    on_model = ["--input", str(model), "--interval", "0", "3"]
+    runs = [
+        ["optimal", *on_model, "--weights", "1", "1", "1"],
+        ["optimal", *on_model, "--thresholds", "40", "50", "0"],
+        ["fit", "--input", str(summary), "--regime", "both",
+         "--l1", "20", "--l2", "100"],
+        ["fit", "--input", str(summary)],
+        ["optimal", *on_model],
+    ]
+    one_process = _python_with_src("""
+import contextlib, io, json, sys
+from skewdose.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+""", json.dumps(runs))
+    assert one_process.returncode == 0, one_process.stderr
+    shared = json.loads(one_process.stdout)
+    for argv, got in zip(runs, shared):
+        fresh = _python_with_src(
+            "import sys; from skewdose.cli import main; "
+            "sys.exit(main(sys.argv[1:]))", *argv)
+        assert got == [fresh.returncode, fresh.stdout, fresh.stderr], argv
+    code, out, err = shared[-1]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: skewdose ")
+    assert err.endswith("optimal requires exactly one of --weights / "
+                        "--thresholds\n")

@@ -2,8 +2,11 @@
 
 import math
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TRIAL_DOSES, TRIAL_SDS
 from skewdose.dose_effect import (
@@ -21,7 +24,7 @@ from skewdose.errors import (
     NoDecreasingTail,
     NonMonotoneAbscissae,
 )
-from skewdose.fitting import GaussianTypeParams
+from skewdose.fitting import GaussianTypeParams, _uniform_grid
 from skewdose.logistic import LogisticParams
 from skewdose.skew_normal import moments_of_params
 
@@ -285,3 +288,81 @@ class TestModelValidation:
                 sigma_curve=fitted_model.sigma_curve,
                 gamma_curve=fitted_model.gamma_curve,
                 d0_hat=-1.0)
+
+
+def _signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0])
+
+
+@st.composite
+def models(draw):
+    """Models whose dispersion may underflow to 0 and whose skewness may
+    overflow, so the grid can hold invalid moments and raising doses."""
+    l1 = draw(st.floats(-50.0, 50.0))
+    mu = LogisticParams(m=draw(_signed(st.floats(0.05, 5.0))),
+                        p=draw(st.floats(-10.0, 10.0)), l1=l1,
+                        l2=l1 + draw(st.floats(0.1, 100.0)))
+    if draw(st.booleans()):
+        sigma = GaussianTypeParams(l=0.0, m=draw(st.floats(0.01, 50.0)),
+                                   p=draw(st.floats(-5.0, 5.0)),
+                                   q=draw(st.floats(-2.0, 5.0)))
+    else:
+        sigma = LogisticParams(m=draw(_signed(st.floats(0.05, 500.0))),
+                               p=draw(st.floats(-10.0, 10.0)), l1=0.0,
+                               l2=draw(st.floats(0.1, 100.0)))
+    gamma = GaussianTypeParams(
+        l=draw(st.floats(-2.0, 1.0)), m=draw(st.floats(0.01, 5.0)),
+        p=draw(st.floats(-5.0, 5.0)),
+        q=draw(st.one_of(st.floats(-3.0, 3.0), st.floats(700.0, 712.0))))
+    return DoseEffectModel(mu_curve=mu, sigma_curve=sigma, gamma_curve=gamma,
+                           d0_hat=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=models(), lo=st.floats(-1.0, 5.0), width=st.floats(1e-3, 10.0),
+       weights=st.one_of(st.none(), st.tuples(*[st.floats(-2.0, 2.0)] * 3)),
+       thresholds=st.tuples(st.floats(-60.0, 160.0), st.floats(0.0, 100.0),
+                            st.floats(-3.0, 3.0)))
+def test_optimal_dose_agrees_with_moments_at(model, lo, width, weights,
+                                             thresholds):
+    """Every field, and any error, is what moments_at gives dose by dose."""
+    interval = (lo, lo + width)
+    mode = {"weights": weights} if weights else {"thresholds": thresholds}
+    grid = _uniform_grid(*interval, 1024)
+    try:
+        triples = [moments_at(model, d) for d in grid]
+    except Exception as exc:  # noqa: BLE001 -- optimal_dose must match it
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            optimal_dose(model, interval, **mode)
+        return
+    admissible = [i for i, t in enumerate(triples) if weights is None
+                  and t.mu >= thresholds[0] and t.sigma <= thresholds[1]
+                  and t.gamma >= thresholds[2]]
+    if weights is None and not admissible:
+        with pytest.raises(NoAdmissibleDose):
+            optimal_dose(model, interval, **mode)
+        return
+    result = optimal_dose(model, interval, **mode)
+    chosen = grid.index(result.dose)
+    if weights is None:
+        assert chosen == admissible[0]
+    at = triples[chosen]
+    assert (result.mean, result.sd, result.skewness) \
+        == (at.mu, at.sigma, at.gamma)
+    assert result.sd_model_min == min(t.sigma for t in triples)
+    assert result.sd_model_max == max(t.sigma for t in triples)
+
+
+def test_invalid_moment_pre_empts_a_later_overflow():
+    """The dispersion underflows to 0 near dose 1.4, before the skewness
+    curve overflows near dose 2.8; the earlier dose's error wins."""
+    model = DoseEffectModel(
+        mu_curve=LogisticParams(m=-1.0, p=0.0, l1=0.0, l2=10.0),
+        sigma_curve=GaussianTypeParams(l=0.0, m=400.0, p=0.0, q=0.0),
+        gamma_curve=GaussianTypeParams(l=0.0, m=0.01, p=0.1, q=709.6),
+        d0_hat=0.0)
+    with pytest.raises(OverflowError):
+        moments_at(model, 3.0)
+    with pytest.raises(DomainError, match=r"^sigma must be > 0, got 0\.0$"):
+        optimal_dose(model, (0.0, 5.0), weights=(1.0, 0.0, 0.0))

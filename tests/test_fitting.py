@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REFERENCE_SIGMA_COEFFS, TRIAL_DOSES, TRIAL_MEANS, TRIAL_SDS
 from skewdose.errors import (
@@ -22,6 +23,7 @@ from skewdose.errors import (
 )
 from skewdose.fitting import (
     GaussianTypeParams,
+    _uniform_grid,
     detect_inflection,
     fit_gaussian_type,
     fit_known_limits,
@@ -378,3 +380,62 @@ class TestFitGaussianType:
     def test_curve_requires_decay(self):
         with pytest.raises(DomainError):
             GaussianTypeParams(l=0.0, m=-1.0, p=0.0, q=0.0)
+
+
+def brute_force_grid_fit(ds, vs):
+    """The offset grid search with one polyfit_quadratic call per candidate."""
+    lo_v = min(vs)
+    span = max(vs) - lo_v
+    if span <= 0.0:
+        span = max(1.0, abs(lo_v))
+    best, best_sse = None, math.inf
+    for cand in _uniform_grid(lo_v - span, lo_v - 1e-6 * span, 256):
+        if any(v - cand <= 0.0 for v in vs):
+            continue
+        a, b, c = polyfit_quadratic(ds, [math.log(v - cand) for v in vs])
+        if a >= 0.0:
+            continue
+        sse = math.fsum((cand + math.exp(a * d * d + b * d + c) - v) ** 2
+                        for d, v in zip(ds, vs))
+        if sse < best_sse:
+            best, best_sse = (cand, a, b, c), sse
+    if best is None:
+        raise NoFeasibleOffset(
+            "no candidate offset keeps all values positive above it "
+            "and yields a decaying curve")
+    cand, a, b, c = best
+    return GaussianTypeParams(l=cand, m=-a, p=b, q=c)
+
+
+def outcome(fn, *args):
+    """repr of the result (it tells -0.0 from 0.0), or the exception."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 -- compared, not hidden
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def skew_tables(draw):
+    """4-8 increasing doses with skewness-like values: mostly a rounded
+    bump curve (as a published table prints it), else arbitrary values."""
+    n = draw(st.integers(4, 8))
+    ds = sorted(draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n,
+                              unique=True)))
+    if draw(st.integers(0, 3)):
+        l = draw(st.floats(-2.0, 1.0))
+        m = draw(st.floats(0.01, 3.0))
+        p = draw(st.floats(-3.0, 3.0))
+        q = draw(st.floats(-3.0, 2.0))
+        vs = [round(l + math.exp(-m * d * d + p * d + q), 4) for d in ds]
+    else:
+        vs = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    return ds, vs
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_tables())
+def test_offset_grid_equals_per_candidate_polyfit(table):
+    ds, vs = table
+    assert outcome(fit_gaussian_type, ds, vs, "grid") \
+        == outcome(brute_force_grid_fit, ds, vs)
