@@ -151,18 +151,20 @@ def _cmd_check(args) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that reads ``-6.5e-05`` as a number, not an option.
+    """Argument parser that reads ``-6.5e-05`` and ``-inf`` as numbers.
 
     Stock argparse (3.11) only takes ``-<digits>`` and ``-<digits>.<digits>``
     for negative numbers, so a negative value in exponent form ends the
     value list of a float option.  Here a dash followed by a digit, or by a
-    dot and a digit, is a number; no option of this parser starts that way.
-    Subparsers inherit the class.
+    dot and a digit, is a number, and so is ``-inf`` or ``-infinity`` in
+    any case; no option of this parser starts that way.  Subparsers
+    inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"-(?:\.?\d|inf(?:inity)?\Z)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

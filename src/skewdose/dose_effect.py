@@ -201,8 +201,11 @@ def check_assumptions(model: DoseEffectModel, horizon: float,
     curve must decrease strictly past its peak (the peak may sit within the
     leading 5% of the grid, since the empirical turning dose is coarse),
     and the value at the horizon must fall below eps.  The dispersion
-    family is resolved once for the whole grid.
+    family is resolved once for the whole grid.  A NaN eps, which no value
+    falls below, raises :class:`~skewdose.errors.DomainError`.
     """
+    if math.isnan(eps):
+        raise DomainError(f"eps must not be NaN, got {eps!r}")
     if not horizon > model.d0_hat:
         raise DomainError("horizon must exceed d0_hat")
     grid = _uniform_grid(model.d0_hat, horizon, _GRID_POINTS)

@@ -232,17 +232,20 @@ def estimate_moments(sample_values: Sequence[float]) -> MomentTriple:
     n = arr.size
     if n < 2:
         raise DegenerateSample(f"need at least 2 observations, got {n}")
-    mean = float(arr.mean())
-    centered = arr - mean
-    var = float((centered * centered).mean())
-    if var <= 0.0:
-        raise DegenerateSample("all observations are equal")
-    sd = math.sqrt(var)
-    z = centered / sd
-    # plain products keep (-a)^3 == -(a^3) exactly, so symmetric samples
-    # report skewness 0 and hence shape 0 (the cube root would amplify
-    # one-ulp noise into a visible shape estimate)
-    skew = float((z * z * z).mean())
+    # huge observations overflow to inf/nan here; MomentTriple rejects the
+    # result, so numpy's warnings would only add noise on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(arr.mean())
+        centered = arr - mean
+        var = float((centered * centered).mean())
+        if var <= 0.0:
+            raise DegenerateSample("all observations are equal")
+        sd = math.sqrt(var)
+        z = centered / sd
+        # plain products keep (-a)^3 == -(a^3) exactly, so symmetric samples
+        # report skewness 0 and hence shape 0 (the cube root would amplify
+        # one-ulp noise into a visible shape estimate)
+        skew = float((z * z * z).mean())
     return MomentTriple(mu=mean, sigma=sd, gamma=skew)
 
 

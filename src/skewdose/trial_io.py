@@ -15,6 +15,7 @@ emission uses 6 significant digits.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -96,8 +97,46 @@ def _data_lines(text: str, expected_header: str) -> list[tuple[int, str]]:
 
 
 def parse_csv(data: "str | bytes") -> list[DoseCohort]:
-    """Parse raw long-format observations into cohorts, sorted by dose."""
+    """Parse raw long-format observations into cohorts, sorted by dose.
+
+    Within a cohort the observations keep their file order; doses that
+    compare equal share one cohort, whose dose is the first one seen.
+    Well-formed input is parsed by numpy in one pass.  Anything else goes
+    to the row-wise parser, which alone decides the result, and every
+    error line and message.
+    """
     text = _decode(data)
+    body = text[len(_RAW_HEADER) + 1:]
+    # numpy's parser strips the same whitespace as float() and converts
+    # with the same routine, but it takes no "_" separators and no
+    # non-ASCII digits, and it breaks lines at fewer characters than
+    # str.splitlines().  So ASCII text whose only line break is "\n"
+    # parses the same way; any other text goes row by row, and so does a
+    # blank body, which loadtxt would warn about on stderr.
+    if (not text.startswith(_RAW_HEADER + "\n") or not body.isascii()
+            or not body or body.isspace()
+            or any(c in body for c in "\r\v\f\x1c\x1d\x1e")):
+        return _parse_csv_rows(text)
+    import numpy as np  # raw input goes on to estimate_moments, which loads it
+
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                           ndmin=2)
+    except ValueError:
+        return _parse_csv_rows(text)
+    if (table.shape[1] != 2 or not np.isfinite(table).all()
+            or not (table[:, 0] >= 0.0).all()):
+        return _parse_csv_rows(text)
+    order = np.argsort(table[:, 0], kind="stable")  # keeps file order
+    doses = table[order, 0]
+    values = table[order, 1].tolist()
+    cuts = (np.flatnonzero(doses[1:] != doses[:-1]) + 1).tolist()
+    return [DoseCohort(dose=float(doses[lo]), observations=tuple(values[lo:hi]))
+            for lo, hi in zip([0] + cuts, cuts + [len(values)])]
+
+
+def _parse_csv_rows(text: str) -> list[DoseCohort]:
+    """Row-wise reference parse of :func:`parse_csv`; the errors come from here."""
     by_dose: dict[float, list[float]] = {}
     for line_no, line in _data_lines(text, _RAW_HEADER):
         fields = line.strip().split(",")
@@ -183,7 +222,7 @@ def _curve_grid(interval: tuple[float, float], steps: int) -> list[float]:
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     grid = _uniform_grid(lo, hi, max(steps, 2))  # checks the endpoints
-    return grid if steps > 1 else [0.5 * (lo + hi)]
+    return grid if steps > 1 else [0.5 * lo + 0.5 * hi]  # lo + hi may overflow
 
 
 def emit_curve_points(curve: Callable[[float], float],
@@ -217,9 +256,14 @@ def emit_curve_svg(curve: Callable[[float], float],
 
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
+    # an axis wider than the largest float is measured in half-doses
+    # (halving is exact); any other axis keeps scale 1 and its digits
+    x_scale = 1.0 if math.isfinite(x_hi - x_lo) else 0.5
+    x_start = x_lo * x_scale
+    x_span = x_hi * x_scale - x_start
 
     def px(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (x * x_scale - x_start) / x_span * plot_w
 
     def py(y: float) -> float:
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
@@ -239,7 +283,7 @@ def emit_curve_svg(curve: Callable[[float], float],
     ]
     for i in range(_TICKS):
         frac = i / (_TICKS - 1)
-        tx = x_lo + frac * (x_hi - x_lo)
+        tx = (x_start + frac * x_span) / x_scale
         ty = y_lo + frac * (y_hi - y_lo)
         x_pix = px(tx)
         y_pix = py(ty)

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,23 @@ class TestSummarize:
         raw.write_text("dose,value\n0,oops\n")
         assert main(["summarize", "--input", str(raw)]) == 1
         assert "ERROR ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["summarize", "fit"])
+@pytest.mark.parametrize("text, error", [
+    ("dose,value\n0,1e300\n0,-1e300\n1,1e300\n1,2e300\n",
+     "ERROR DomainError: sigma must be finite, got inf\n"),
+    ("dose,value\n", "ERROR EmptyInput: no data rows after the header\n"),
+], ids=["overflow", "header-only"])
+def test_raw_input_errors_print_one_line_and_no_warning(tmp_path, capsys,
+                                                         command, text, error):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--input", str(raw)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr() == ("", error)
 
 
 class TestFit:
@@ -153,6 +172,14 @@ class TestFit:
         model = parse_model(out)
         assert (model.mu_curve.l1, model.mu_curve.l2) == (-1e308, 1e308)
         assert serialize_model(model) == out
+
+    def test_infinite_known_lower_asymptote_is_one_error_line(
+            self, summary_file, capsys):
+        assert main(["fit", "--input", str(summary_file), "--regime", "l1",
+                     "--l1", "-inf"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"ERROR \w+: [^\n]*\n", err), err
 
     @pytest.mark.parametrize("csv", [SUMMARY_CSV, raw_bump_csv()])
     @pytest.mark.parametrize("newline", ["\r\n", "\x0c", "\x0b", "\x85"])
@@ -240,6 +267,15 @@ class TestOptimal:
         assert main(base + ["--thresholds", "40", "50", "-6.5e-05"]) == 0
         assert capsys.readouterr().out == fixed_point
 
+    @pytest.mark.parametrize("minus_inf", ["-inf", "-INF", "-Infinity"])
+    def test_minus_infinite_threshold_is_a_number(self, model_file, capsys,
+                                                  minus_inf):
+        base = ["optimal", "--input", str(model_file), "--interval", "0", "3"]
+        assert main(base + ["--thresholds", "40", "50", "-1e308"]) == 0
+        unconstrained = capsys.readouterr().out
+        assert main(base + ["--thresholds", "40", "50", minus_inf]) == 0
+        assert capsys.readouterr() == (unconstrained, "")
+
     def test_nan_weight_is_a_domain_error(self, model_file, capsys):
         assert main(["optimal", "--input", str(model_file), "--interval",
                      "0", "3", "--weights", "nan", "0", "0"]) == 1
@@ -283,6 +319,37 @@ class TestPlotAndCheck:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [float(x) for x, _ in rows] == [-1e308, 0.0, 1e308]
         assert all(math.isfinite(float(y)) for _, y in rows)
+
+    def test_single_step_midpoint_of_huge_interval_is_inside(self,
+                                                              model_file,
+                                                              capsys):
+        assert main(["plot", "--input", str(model_file), "--curve", "mu",
+                     "--interval", "1e308", "1.5e308", "--steps", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (x, y), = [line.split(",") for line in out.splitlines()[1:]]
+        assert 1e308 <= float(x) <= 1.5e308
+        assert math.isfinite(float(y))
+
+    def test_svg_of_overflowing_interval_width_is_finite(self, model_file,
+                                                         capsys):
+        assert main(["plot", "--input", str(model_file), "--curve", "mu",
+                     "--interval", "-1e308", "1e308", "--format", "svg"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert not re.search(r"nan|inf", out, re.IGNORECASE)
+        points = re.search(r'points="([^"]*)"', out).group(1).split()
+        xs = [float(point.split(",")[0]) for point in points]
+        assert xs[0] == 65.0 and xs[-1] == 780.0  # the plot's left and right
+        assert xs == sorted(xs)
+        ticks = re.findall(r'text-anchor="middle">([^<]*)<', out)
+        assert ticks == ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]
+
+    def test_nan_eps_is_a_domain_error(self, model_file, capsys):
+        assert main(["check", "--input", str(model_file), "--eps", "nan"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "ERROR DomainError: eps must not be NaN, got nan\n"
 
     @pytest.mark.parametrize("argv, lo, hi", [
         (["plot", "--curve", "mu", "--interval", "0", "inf"], "0.0", "inf"),
@@ -369,14 +436,39 @@ class TestModelDocument:
             parse_model("mu.m=x\n")
 
 
-def _python_with_src(script: str, *args: str) -> subprocess.CompletedProcess:
+def _python_with_src(script: str, *args: str,
+                     stdin: str = "") -> subprocess.CompletedProcess:
     """Run a script in a fresh interpreter that imports this skewdose."""
     src_dir = str(Path(skewdose.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_dir, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          input=stdin, capture_output=True, text=True,
+                          timeout=60)
+
+
+_RUN_CLI = "import sys; from skewdose.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("summarize", raw_bump_csv(), ""),
+    ("fit", raw_bump_csv(), ""),
+    ("summarize", raw_bump_csv().replace("\n2,32\n", "\n2,3 2\n"),
+     "ERROR ParseError: line 6: value field '3 2' is not a number\n"),
+], ids=["summarize", "fit", "defect"])
+def test_raw_table_on_stdin_matches_the_file(tmp_path, capsys, command, text,
+                                             error):
+    """``--input -`` reads stdin: same bytes, or the same ERROR line."""
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    code = main([command, "--input", str(raw)])
+    from_file = capsys.readouterr()
+    assert (code, from_file.err) == (1 if error else 0, error)
+    from_stdin = _python_with_src(_RUN_CLI, command, "--input", "-",
+                                  stdin=text)
+    assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == \
+        (code, from_file.out, from_file.err)
 
 
 def test_summary_table_path_does_not_import_numpy(tmp_path):

@@ -1,9 +1,11 @@
 """CSV ingestion, per-dose summaries, emission round trips, SVG output."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TRIAL_DOSES, TRIAL_MEANS, TRIAL_SDS, TRIAL_SKEWS
 from skewdose.errors import (
@@ -13,6 +15,7 @@ from skewdose.errors import (
     NegativeDose,
     ParseError,
 )
+from skewdose import trial_io
 from skewdose.logistic import LogisticParams, evaluate
 from skewdose.skew_normal import SkewNormalParams, moments_of_params, sample
 from skewdose.trial_io import (
@@ -69,6 +72,100 @@ class TestParseCsv:
     def test_exact_dose_grouping_no_epsilon_merge(self):
         cohorts = parse_csv("dose,value\n0.1,1.0\n0.10000000000000002,2.0\n")
         assert len(cohorts) == 2
+
+
+def _outcome(parse, text):
+    """A parse's result, bit for bit, or the error it raised."""
+    try:
+        cohorts = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(c.dose.hex(), type(c.dose), tuple(v.hex() for v in c.observations),
+             {type(v) for v in c.observations}) for c in cohorts]
+
+
+# tokens numpy parses (one of them a negative dose), then tokens on which
+# numpy's parser and float() disagree or which the row-wise parser rejects
+_DOSES = ("0", "-0.0", "0.0", "+0", "1.5", "3", "3.0", " 2 ", "1e308", "-1")
+_VALUES = ("0", "-0.0", "3", "2.5", "-1", ".5", "5.", "1e-3", "\t7", "1e308")
+_ODD_NUMBERS = ("nan", "inf", "-inf", "1e400", "-1", "-2.5", "1_000", "\u0661",
+                "x", "", "0\x0b", "1\x0c", "2\x1c", "3\x1d", "4\x1e", "5\x85",
+                "6\xa0", "7\r")
+_ODD_BREAKS = ("\r\n", "\r", "\x85", "\x0b", "\x0c", "\x1c", "\u2028")
+_ODD_LINES = ("", " ", "\t", " \t ", "0", "0,1,2", "0,1,")
+
+
+@st.composite
+def _line_soups(draw):
+    """A clean raw table with up to two defects: odd numbers, odd line
+    breaks, blank or whitespace-only lines, missing or extra fields, an
+    odd header, no final line break."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(_DOSES),
+                                   st.sampled_from(_VALUES)).map(list),
+                         min_size=1, max_size=8))
+    lines = [["dose", "value"]] + rows  # the fields of each line
+    breaks = ["\n"] * len(lines)       # the break after each line
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("dose", "value", "dose", "value",
+                                     "break", "line", "header", "end")))
+        if kind in ("dose", "value") and i > 0:
+            field = 0 if kind == "dose" else len(lines[i]) - 1
+            lines[i][field] = draw(st.sampled_from(_ODD_NUMBERS))
+        elif kind == "break":
+            breaks[i] = draw(st.sampled_from(_ODD_BREAKS))
+        elif kind == "line":
+            lines.insert(i + 1, [draw(st.sampled_from(_ODD_LINES))])
+            breaks.insert(i + 1, "\n")
+        elif kind == "header":
+            lines[0] = [draw(st.sampled_from((" dose,value", "dose,values",
+                                               "dose", "")))]
+        elif kind == "end":
+            breaks[-1] = ""
+    return "".join(",".join(fields) + br for fields, br in zip(lines, breaks))
+
+
+class TestParseCsvMatchesRowWise:
+    """parse_csv returns what the row-wise reference parse returns, or raises
+    what it raises, whichever of its two paths takes the text."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_line_soups())
+    def test_line_soups(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(parse_csv, text) == \
+                _outcome(trial_io._parse_csv_rows, text)
+
+    @pytest.mark.parametrize("text", [
+        "dose,value\n0,1_000\n0,2\n",
+        "dose,value\n0,\u0661\n0,2\n",
+        "dose,value\n0,1\n  \n0,2\n",
+        "dose,value\n0,1\r0,2\n",
+        "dose,value\n0,1\r",
+        "dose,value\n0\x85,1\n",
+        "dose,value\n0\x0b,1\n",
+        "dose,value\n",
+        "dose,value\n\n \n",
+        "dose,value\n0,nan\n",
+        "dose,value\n0,1\n-1,2\n",
+        "dose,value\n0,1,2\n",
+    ])
+    def test_inputs_numpy_reads_differently(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(parse_csv, text) == \
+                _outcome(trial_io._parse_csv_rows, text)
+
+    def test_plain_input_never_reaches_the_row_parser(self, monkeypatch):
+        def row_parser(text):
+            raise AssertionError("row-wise parse of plain input")
+
+        monkeypatch.setattr(trial_io, "_parse_csv_rows", row_parser)
+        text = "dose,value\n-0.0,9\n3,1\n\n0,8\n0.0,7\n 3 ,2"
+        cohorts = parse_csv(text)
+        assert [c.dose.hex() for c in cohorts] == ["-0x0.0p+0", "0x1.8000000000000p+1"]
+        assert [c.observations for c in cohorts] == [(9.0, 8.0, 7.0), (1.0, 2.0)]
 
 
 class TestSummarize:
